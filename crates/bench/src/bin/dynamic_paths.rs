@@ -21,7 +21,7 @@ use gsrepro_simcore::{BitRate, SimDuration, SimTime};
 use gsrepro_testbed::config::{Condition, PathScenario};
 use gsrepro_testbed::metrics::{settle_after, SettleTime};
 use gsrepro_testbed::report::{Csv, TextTable};
-use gsrepro_testbed::runner::{run_many_traced, RunResult};
+use gsrepro_testbed::runner::{run_many_full, RunResult};
 
 /// RTT samples arrive every 200 ms; rebin to a uniform 1 s series so the
 /// settling scan can treat it like the bitrate bins. Empty bins inherit
@@ -97,11 +97,12 @@ fn main() {
                 .with_scenario(scenario)
         })
         .collect();
-    let results = run_many_traced(
+    let results = run_many_full(
         &conditions,
         opts.iterations,
         opts.threads,
         opts.trace.as_ref(),
+        false,
     );
 
     // Disturbance windows: each scan runs to the next disturbance (or the

@@ -49,7 +49,6 @@ fn accumulate(total: &mut SchedStats, s: &SchedStats) {
     total.wheel_scheduled += s.wheel_scheduled;
     total.overflow_scheduled += s.overflow_scheduled;
     total.cascaded += s.cascaded;
-    total.cancelled += s.cancelled;
     total.slab_high_watermark = total.slab_high_watermark.max(s.slab_high_watermark);
 }
 
@@ -118,7 +117,6 @@ fn json_condition(r: &CondReport) -> String {
          \"wheel_share\": {:.4},\n        \
          \"overflow_share\": {:.6},\n        \
          \"cascaded\": {},\n        \
-         \"cancelled\": {},\n        \
          \"slab_high_watermark\": {}\n      }}\n    }}",
         r.label,
         r.rates[0],
@@ -130,7 +128,6 @@ fn json_condition(r: &CondReport) -> String {
         share(s.wheel_scheduled),
         share(s.overflow_scheduled),
         s.cascaded,
-        s.cancelled,
         s.slab_high_watermark,
     )
 }

@@ -8,7 +8,6 @@
 //!   sub-ms wakeups, ms-scale propagation, RTO-scale timers),
 //! * the same workload on a plain `BinaryHeap` reference scheduler, so the
 //!   wheel's advantage (or regression) is a printed ratio,
-//! * cancel throughput (schedule + cancel, no fire),
 //! * batched vs per-packet link drain through a shaped token bucket.
 //!
 //! Usage: `cargo run --release -p gsrepro-bench --bin sched_bench`
@@ -135,20 +134,6 @@ fn bench_heap_ref(backlog: usize, ops: u64) -> f64 {
     ops as f64 / start.elapsed().as_secs_f64()
 }
 
-/// Cancel throughput: schedule a cancellable timer and immediately cancel
-/// it — the dominant pattern for RTO timers that are re-armed on every ack.
-fn bench_cancel(ops: u64) -> f64 {
-    let mut eng: Engine<Sink> = Engine::new();
-    let mut mix = DelayMix::new(11);
-    let start = Instant::now();
-    for i in 0..ops {
-        let d = SimDuration::from_nanos(200_000_000 + mix.next_u64() % 800_000_000);
-        let h = eng.scheduler().schedule_cancellable_in(d, i);
-        eng.scheduler().cancel(h);
-    }
-    ops as f64 / start.elapsed().as_secs_f64()
-}
-
 /// Link drain: `n` media-sized packets through a 25 Mb/s token bucket.
 /// `batched = false` replays the pre-batching pattern (one `service_batch`
 /// call capped at one delivery per activation); `batched = true` lets one
@@ -223,7 +208,6 @@ fn main() {
 
     let wheel = bench_wheel(BACKLOG, OPS);
     let heap = bench_heap_ref(BACKLOG, OPS);
-    let cancel = bench_cancel(OPS);
     let drain_batched = bench_link_drain(100_000, true);
     let drain_single = bench_link_drain(100_000, false);
 
@@ -234,7 +218,6 @@ fn main() {
         heap,
         wheel / heap
     );
-    println!("  schedule+cancel    : {:>12.0} ops/s", cancel);
     println!("link drain (100k pkts, 25 Mb/s bucket, banked tokens):");
     println!("  batched            : {:>12.0} pkts/s", drain_batched);
     println!(

@@ -155,18 +155,11 @@ impl Ctx<'_> {
 
 /// Events of the network world.
 pub enum NetEvent {
-    /// Change a link's shaping rate at a scheduled time (`tc qdisc
-    /// change` mid-run — the Carrascosa & Bellalta methodology of limiting
-    /// a live stream's link).
-    SetLinkRate {
-        /// The link to modify.
-        link: LinkId,
-        /// The new rate; `None` removes shaping.
-        rate: Option<BitRate>,
-    },
-    /// Apply one [`ScenarioAction`] to a link — the generalized live
-    /// reconfiguration behind [`Sim::apply_scenario`]. Applications are
-    /// recorded as `link_scenario` telemetry events.
+    /// Apply one [`ScenarioAction`] to a link — live reconfiguration at a
+    /// scheduled time, behind [`Sim::apply_scenario`]. A `Rate` action is
+    /// `tc qdisc change` mid-run, the Carrascosa & Bellalta methodology of
+    /// limiting a live stream's link. Applications are recorded as
+    /// `link_scenario` telemetry events.
     Scenario {
         /// The link to reconfigure.
         link: LinkId,
@@ -652,9 +645,6 @@ impl World for Network {
                 self.links[id.0 as usize].wakeup_scheduled = false;
                 self.pump_link(id, sched);
             }
-            NetEvent::SetLinkRate { link, rate } => {
-                self.apply_scenario_action(link, ScenarioAction::Rate(rate), sched);
-            }
             NetEvent::Scenario { link, action } => {
                 self.apply_scenario_action(link, action, sched);
             }
@@ -920,7 +910,7 @@ impl Sim {
     }
 
     /// Scheduler occupancy counters for this run (lane/cur/wheel/overflow
-    /// placement, cascades, cancels, slab high-watermark).
+    /// placement, cascades, slab high-watermark).
     pub fn sched_stats(&self) -> gsrepro_simcore::SchedStats {
         self.engine.sched_stats()
     }
@@ -928,14 +918,6 @@ impl Sim {
     /// Utilization helper: overall goodput of `flow` across `[from, to)`.
     pub fn goodput_mbps(&self, flow: FlowId, from: SimTime, to: SimTime) -> f64 {
         self.net.monitor().stats(flow).mean_goodput_mbps(from, to)
-    }
-
-    /// Schedule a link-rate change at `at` (absolute sim time). Emulates
-    /// running `tc qdisc change` on the router mid-experiment.
-    pub fn schedule_link_rate(&mut self, link: LinkId, rate: Option<BitRate>, at: SimTime) {
-        self.engine
-            .scheduler()
-            .schedule_at(at, NetEvent::SetLinkRate { link, rate });
     }
 
     /// Schedule one scenario action at `at` (absolute sim time).
@@ -1170,14 +1152,14 @@ mod tests {
         );
         let mut sim = b.build();
         // Cut the link to 5 Mb/s for the middle third.
-        sim.schedule_link_rate(
+        sim.schedule_scenario_action(
             bottleneck,
-            Some(BitRate::from_mbps(5)),
+            ScenarioAction::Rate(Some(BitRate::from_mbps(5))),
             SimTime::from_secs(10),
         );
-        sim.schedule_link_rate(
+        sim.schedule_scenario_action(
             bottleneck,
-            Some(BitRate::from_mbps(20)),
+            ScenarioAction::Rate(Some(BitRate::from_mbps(20))),
             SimTime::from_secs(20),
         );
         sim.run_until(SimTime::from_secs(30));

@@ -51,16 +51,8 @@
 //! necessarily scheduled at an earlier instant (same-instant schedules go
 //! to the lane) and thus carries a smaller sequence number.
 //!
-//! # Cancellation
-//!
-//! [`Scheduler::schedule_cancellable_at`] returns a [`TimerHandle`];
-//! [`Scheduler::cancel`] removes the event in O(1). A wheel-chained timer is
-//! unlinked from its slot's doubly-linked chain and its slab entry freed on
-//! the spot (the dominant pattern — RTO timers re-armed on every ack — never
-//! accumulates garbage). A timer whose key currently rides `cur` or the
-//! overflow heap is tombstoned instead and reclaimed when the key surfaces;
-//! its slab slot is not reused until then, so a key in those structures
-//! always refers to its own entry.
+//! Events cannot be cancelled: agents that re-arm a timer ignore the stale
+//! firing instead, so every queued key refers to a live slab entry.
 
 use crate::time::{SimDuration, SimTime};
 use crate::watchdog::{SimError, Watchdog};
@@ -124,13 +116,8 @@ impl Ord for Key {
     }
 }
 
-/// Chain-link sentinel: no next/prev entry, or an empty slot head.
+/// Chain-link sentinel: no next entry, or an empty slot head.
 const NIL: u32 = u32::MAX;
-/// `Entry::bucket` value while the entry's key rides `cur` or the overflow
-/// heap (no wheel chain to unlink from).
-const NOT_CHAINED: u32 = u32::MAX;
-/// `Entry::bucket` value for a vacated slab slot (on the free list).
-const FREE: u32 = u32::MAX - 1;
 
 /// One slab slot: the event payload plus everything the wheel needs to
 /// chain, identify, and re-file it. Keys carry `(time, seq)` too, purely so
@@ -140,24 +127,8 @@ struct Entry<E> {
     time: SimTime,
     /// Next entry in this wheel slot's chain (`NIL` at the tail).
     next: u32,
-    /// Previous entry in the chain (`NIL` at the head) — makes `cancel` an
-    /// O(1) unlink instead of a lazy tombstone.
-    prev: u32,
-    /// Wheel bucket (`level * SLOTS + slot`) this entry is chained in, or
-    /// [`NOT_CHAINED`] / [`FREE`].
-    bucket: u32,
-    /// `None` = tombstone: cancelled while riding `cur`/overflow, reclaimed
-    /// when the key surfaces.
+    /// `None` = vacated slot, listed in `Scheduler::free`.
     event: Option<E>,
-}
-
-/// Handle returned by [`Scheduler::schedule_cancellable_at`]; pass to
-/// [`Scheduler::cancel`]. Stale handles (already fired or cancelled) are
-/// detected by sequence-number mismatch and rejected safely.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TimerHandle {
-    slot: u32,
-    seq: u64,
 }
 
 /// Where scheduled events landed and how the slab behaved — the scheduler's
@@ -175,8 +146,6 @@ pub struct SchedStats {
     pub overflow_scheduled: u64,
     /// Keys moved during cascades (slot redistribution as the cursor jumps).
     pub cascaded: u64,
-    /// Timers removed via [`Scheduler::cancel`].
-    pub cancelled: u64,
     /// Largest slab size (slots) reached during the run.
     pub slab_high_watermark: u64,
 }
@@ -191,11 +160,10 @@ pub struct Scheduler<E> {
     /// its tick and `cur_tick`; everything at or before `cur_tick` has been
     /// moved to `cur`.
     cur_tick: u64,
-    /// Keys whose tick has been reached (plus same-instant cancellable
-    /// schedules), sorted descending so the minimum pops from the end.
-    /// Tiny in practice (~1 entry at paper-scale density), which makes a
-    /// sorted vec strictly cheaper than a heap: push is usually an append,
-    /// pop is `Vec::pop`, peek is `last()`.
+    /// Keys whose tick has been reached, sorted descending so the minimum
+    /// pops from the end. Tiny in practice (~1 entry at paper-scale
+    /// density), which makes a sorted vec strictly cheaper than a heap:
+    /// push is usually an append, pop is `Vec::pop`, peek is `last()`.
     cur: Vec<Key>,
     /// `LEVELS x SLOTS` wheel slots, flattened: each is the head of an
     /// intrusive chain through the slab (`NIL` = empty).
@@ -206,12 +174,11 @@ pub struct Scheduler<E> {
     /// Keys beyond the wheel horizon, ordered by `(time, seq)`.
     overflow: BinaryHeap<Reverse<Key>>,
     /// Slab backing the queue: keys and chains index into here. Free slots
-    /// are marked [`FREE`] and listed in `free`; trailing free entries are
-    /// truncated so bursts don't pin memory.
+    /// hold no event and are listed in `free` (exactly once each, so the
+    /// occupied count is `slab.len() - free.len()`); trailing free entries
+    /// are truncated so bursts don't pin memory.
     slab: Vec<Entry<E>>,
     free: Vec<u32>,
-    /// Live (not cancelled) slab entries; `pending()` = this + lane length.
-    live: usize,
     /// Fast lane for events scheduled at exactly `now`; entries are
     /// `(seq, event)` and their timestamp is implicitly `now`.
     lane: VecDeque<(u64, E)>,
@@ -233,7 +200,6 @@ impl<E> Scheduler<E> {
             overflow: BinaryHeap::new(),
             slab: Vec::new(),
             free: Vec::new(),
-            live: 0,
             lane: VecDeque::new(),
             past_schedules: 0,
             stats: SchedStats::default(),
@@ -287,12 +253,16 @@ impl<E> Scheduler<E> {
             return;
         }
         let slot = self.alloc_slot(seq, at, event);
-        self.live += 1;
-        self.place_counted(Key {
+        let key = Key {
             time: at,
             seq,
             slot,
-        });
+        };
+        match self.place(key) {
+            Placed::Cur => self.stats.cur_scheduled += 1,
+            Placed::Wheel => self.stats.wheel_scheduled += 1,
+            Placed::Overflow => self.stats.overflow_scheduled += 1,
+        }
     }
 
     /// Schedule `event` after `delay`.
@@ -315,70 +285,16 @@ impl<E> Scheduler<E> {
         self.lane.push_back((seq, event));
     }
 
-    /// Like [`Scheduler::schedule_at`], but returns a [`TimerHandle`] that
-    /// can later be passed to [`Scheduler::cancel`]. Past timestamps clamp
-    /// to `now` under the same contract as `schedule_at`. Cancellable
-    /// same-instant events keep their FIFO position relative to other
-    /// schedules (they order by sequence number like everything else).
-    pub fn schedule_cancellable_at(&mut self, at: SimTime, event: E) -> TimerHandle {
-        let at = if at < self.now {
-            self.past_schedules += 1;
-            self.now
-        } else {
-            at
-        };
-        let seq = self.seq;
-        self.seq += 1;
-        let slot = self.alloc_slot(seq, at, event);
-        self.live += 1;
-        let key = Key {
-            time: at,
-            seq,
-            slot,
-        };
-        if at == self.now {
-            // Must stay poppable this instant: the lane is append-only FIFO
-            // and cannot host a removable entry, so ride the current bucket.
-            // `time == now` is ≤ every other pending event, so the bucket
-            // invariant (cur minimum ≤ wheel minimum) is preserved.
-            self.stats.cur_scheduled += 1;
-            Self::cur_push(&mut self.cur, key);
-        } else {
-            self.place_counted(key);
-        }
-        TimerHandle { slot, seq }
-    }
-
-    /// Cancellable version of [`Scheduler::schedule_in`].
-    #[inline]
-    pub fn schedule_cancellable_in(&mut self, delay: SimDuration, event: E) -> TimerHandle {
-        self.schedule_cancellable_at(self.now + delay, event)
-    }
-
-    /// Cancel a pending timer, returning its event. Returns `None` if the
-    /// timer already fired or was already cancelled. O(1): a wheel-chained
-    /// timer is unlinked and its slot freed immediately; one riding
-    /// `cur`/overflow is tombstoned and reclaimed when its key surfaces.
-    pub fn cancel(&mut self, handle: TimerHandle) -> Option<E> {
-        let entry = self.slab.get_mut(handle.slot as usize)?;
-        if entry.seq != handle.seq || entry.event.is_none() {
-            return None; // already fired, cancelled, or slot recycled
-        }
-        let event = entry.event.take().unwrap();
-        let bucket = entry.bucket;
-        self.live -= 1;
-        self.stats.cancelled += 1;
-        if bucket != NOT_CHAINED {
-            self.unlink(handle.slot, bucket);
-            self.release_slot(handle.slot);
-        }
-        Some(event)
-    }
-
     /// Number of pending events.
     #[inline]
     pub fn pending(&self) -> usize {
-        self.lane.len() + self.live
+        self.lane.len() + self.live()
+    }
+
+    /// Occupied slab entries: events queued in `cur`, the wheel, or overflow.
+    #[inline]
+    fn live(&self) -> usize {
+        self.slab.len() - self.free.len()
     }
 
     /// How many times an event was scheduled into the past (and clamped to
@@ -390,8 +306,8 @@ impl<E> Scheduler<E> {
     }
 
     /// Timestamp of the next pending event, if any. Takes `&mut self`
-    /// because peeking may advance the wheel cursor and discard cancelled
-    /// keys; the answer is exact (never a bucket approximation).
+    /// because peeking may advance the wheel cursor; the answer is exact
+    /// (never a bucket approximation).
     #[inline]
     pub fn peek_time(&mut self) -> Option<SimTime> {
         if !self.prepare() {
@@ -445,43 +361,23 @@ impl<E> Scheduler<E> {
                 .event
                 .take()
                 .expect("slab slot empty");
-            self.live -= 1;
             self.release_slot(k.slot);
             Some((k.time, event))
         }
     }
 
-    /// Ensure the earliest *non-lane* pending event is live at the end of
-    /// `cur` (the lane cannot be short-circuited: a wheel entry may share
+    /// Ensure the earliest *non-lane* pending event is at the end of `cur`
+    /// (the lane cannot be short-circuited: a wheel entry may share
     /// `time == now` with a larger-seq lane entry and must fire first).
     /// Returns `false` iff nothing at all is pending.
+    #[inline]
     fn prepare(&mut self) -> bool {
-        loop {
-            // Reclaim tombstones (cancelled while riding `cur`) as they
-            // surface. A key in `cur` always references its own entry — the
-            // slot cannot have been recycled while the key was live here.
-            while let Some(k) = self.cur.last() {
-                let entry = &self.slab[k.slot as usize];
-                debug_assert_eq!(entry.seq, k.seq, "cur key references recycled slot");
-                if entry.event.is_some() {
-                    break;
-                }
-                let slot = k.slot;
-                self.cur.pop();
-                self.release_slot(slot);
-            }
-            if !self.cur.is_empty() {
-                return true;
-            }
-            if !self.advance() {
-                return !self.lane.is_empty();
-            }
-        }
+        !self.cur.is_empty() || self.advance() || !self.lane.is_empty()
     }
 
     /// Jump the wheel cursor to the earliest pending tick and move that
     /// tick's keys into `cur`. Returns `false` iff wheel and overflow are
-    /// both empty. May deposit cancelled keys into `cur`; `prepare` filters.
+    /// both empty; otherwise `cur` is non-empty on return.
     fn advance(&mut self) -> bool {
         loop {
             let Some(level) = (0..LEVELS).find(|&l| self.occupied[l] != 0) else {
@@ -497,12 +393,7 @@ impl<E> Scheduler<E> {
                         break;
                     }
                     let Reverse(k) = self.overflow.pop().unwrap();
-                    if self.slab[k.slot as usize].event.is_none() {
-                        // Tombstone (cancelled while in overflow): reclaim.
-                        self.release_slot(k.slot);
-                    } else {
-                        Self::cur_push(&mut self.cur, k);
-                    }
+                    Self::cur_push(&mut self.cur, k);
                 }
                 return true;
             };
@@ -523,28 +414,22 @@ impl<E> Scheduler<E> {
             if let Some(&Reverse(k)) = self.overflow.peek() {
                 if tick_of(k.time) <= base {
                     let Reverse(k) = self.overflow.pop().unwrap();
-                    if self.slab[k.slot as usize].event.is_none() {
-                        self.release_slot(k.slot); // tombstone
-                    } else {
-                        self.place(k);
-                    }
+                    self.place(k);
                     continue;
                 }
             }
             self.occupied[level] &= !(1u64 << slot);
             self.cur_tick = base;
             let idx = level * SLOTS + slot as usize;
-            // Walk the chain. Every chained entry is live (cancel unlinks
-            // wheel entries eagerly), and `place`/`cur_push` rewrite the
-            // links, so the successor is read before re-filing each node.
+            // Walk the chain. `place` rewrites the link, so the successor is
+            // read before re-filing each node.
             let mut s = self.heads[idx];
             self.heads[idx] = NIL;
             if level == 0 {
                 // Every entry in a level-0 slot shares the slot's exact tick.
                 while s != NIL {
-                    let e = &mut self.slab[s as usize];
+                    let e = &self.slab[s as usize];
                     let nxt = e.next;
-                    e.bucket = NOT_CHAINED;
                     let k = Key {
                         time: e.time,
                         seq: e.seq,
@@ -589,66 +474,27 @@ impl<E> Scheduler<E> {
     }
 
     /// File a key by its tick relative to the cursor: reached ticks go to
-    /// `cur`, in-horizon ticks onto the chain of the level of the highest
-    /// differing digit, the rest to overflow.
+    /// `cur`, in-horizon ticks onto the head of the chain of the level of
+    /// the highest differing digit, the rest to overflow.
     #[inline]
     fn place(&mut self, k: Key) -> Placed {
         let t = tick_of(k.time);
         if t <= self.cur_tick {
-            self.slab[k.slot as usize].bucket = NOT_CHAINED;
             Self::cur_push(&mut self.cur, k);
             return Placed::Cur;
         }
         let diff = t ^ self.cur_tick;
         let level = ((63 - diff.leading_zeros()) / LEVEL_BITS) as usize;
         if level >= LEVELS {
-            self.slab[k.slot as usize].bucket = NOT_CHAINED;
             self.overflow.push(Reverse(k));
             return Placed::Overflow;
         }
         let slot = ((t >> (level as u32 * LEVEL_BITS)) & (SLOTS as u64 - 1)) as usize;
         let idx = level * SLOTS + slot;
-        let head = self.heads[idx];
-        let e = &mut self.slab[k.slot as usize];
-        e.next = head;
-        e.prev = NIL;
-        e.bucket = idx as u32;
-        if head != NIL {
-            self.slab[head as usize].prev = k.slot;
-        }
+        self.slab[k.slot as usize].next = self.heads[idx];
         self.heads[idx] = k.slot;
         self.occupied[level] |= 1u64 << slot;
         Placed::Wheel
-    }
-
-    /// Remove a wheel-chained entry from its slot chain in O(1), clearing
-    /// the occupancy bit when the chain empties.
-    fn unlink(&mut self, slot: u32, bucket: u32) {
-        let (prev, next) = {
-            let e = &self.slab[slot as usize];
-            (e.prev, e.next)
-        };
-        if prev != NIL {
-            self.slab[prev as usize].next = next;
-        } else {
-            self.heads[bucket as usize] = next;
-            if next == NIL {
-                let level = bucket as usize / SLOTS;
-                self.occupied[level] &= !(1u64 << (bucket as usize % SLOTS));
-            }
-        }
-        if next != NIL {
-            self.slab[next as usize].prev = prev;
-        }
-    }
-
-    #[inline]
-    fn place_counted(&mut self, k: Key) {
-        match self.place(k) {
-            Placed::Cur => self.stats.cur_scheduled += 1,
-            Placed::Wheel => self.stats.wheel_scheduled += 1,
-            Placed::Overflow => self.stats.overflow_scheduled += 1,
-        }
     }
 
     fn alloc_slot(&mut self, seq: u64, time: SimTime, event: E) -> u32 {
@@ -656,18 +502,12 @@ impl<E> Scheduler<E> {
             seq,
             time,
             next: NIL,
-            prev: NIL,
-            bucket: NOT_CHAINED,
             event: Some(event),
         };
-        while let Some(s) = self.free.pop() {
-            // Truncation may have orphaned free-list entries; `release_slot`
-            // purges them, so this guard is belt-and-braces.
-            if (s as usize) < self.slab.len() {
-                debug_assert_eq!(self.slab[s as usize].bucket, FREE);
-                self.slab[s as usize] = entry;
-                return s;
-            }
+        if let Some(s) = self.free.pop() {
+            debug_assert!(self.slab[s as usize].event.is_none());
+            self.slab[s as usize] = entry;
+            return s;
         }
         let s = self.slab.len() as u32;
         self.slab.push(entry);
@@ -677,19 +517,19 @@ impl<E> Scheduler<E> {
         s
     }
 
-    /// Return a slab slot to the pool. When the slab is large and mostly
-    /// dead (a drained burst), the trailing `None` run is truncated so the
-    /// peak size is not pinned forever; free-list indices past the new
-    /// length are purged (they would otherwise alias re-grown slots). The
-    /// occupancy gate keeps compaction off the steady-state hot path.
+    /// Return a slab slot (its event already taken) to the pool. When the
+    /// slab is large and mostly dead (a drained burst), the trailing `None`
+    /// run is truncated so the peak size is not pinned forever; free-list
+    /// indices past the new length are purged (they would otherwise alias
+    /// re-grown slots). The occupancy gate keeps compaction off the
+    /// steady-state hot path.
     fn release_slot(&mut self, slot: u32) {
-        self.slab[slot as usize].bucket = FREE;
         self.free.push(slot);
         if self.slab.len() >= 64
-            && self.live * 2 <= self.slab.len()
-            && self.slab.last().is_some_and(|e| e.bucket == FREE)
+            && self.live() * 2 <= self.slab.len()
+            && self.slab.last().is_some_and(|e| e.event.is_none())
         {
-            while self.slab.last().is_some_and(|e| e.bucket == FREE) {
+            while self.slab.last().is_some_and(|e| e.event.is_none()) {
                 self.slab.pop();
             }
             let len = self.slab.len();
@@ -1113,68 +953,6 @@ mod tests {
         eng.run_until(&mut w, SimTime::from_secs(1));
         assert_eq!(w.log.len(), 1);
         assert_eq!(eng.scheduler().pending(), 1); // the MAX sentinel waits
-    }
-
-    #[test]
-    fn cancel_removes_a_pending_timer() {
-        let mut w = Recorder { log: vec![] };
-        let mut eng = Engine::new();
-        let h = eng
-            .scheduler()
-            .schedule_cancellable_at(SimTime::from_millis(10), Ev::Tag(1));
-        eng.scheduler()
-            .schedule_at(SimTime::from_millis(20), Ev::Tag(2));
-        assert_eq!(eng.scheduler().pending(), 2);
-        assert!(matches!(eng.scheduler().cancel(h), Some(Ev::Tag(1))));
-        assert_eq!(eng.scheduler().pending(), 1);
-        // Double-cancel is a safe no-op.
-        assert!(eng.scheduler().cancel(h).is_none());
-        eng.run_to_completion(&mut w);
-        let tags: Vec<u32> = w.log.iter().map(|&(_, n)| n).collect();
-        assert_eq!(tags, vec![2]);
-        assert_eq!(eng.sched_stats().cancelled, 1);
-    }
-
-    #[test]
-    fn stale_handle_does_not_cancel_a_recycled_slot() {
-        let mut w = Recorder { log: vec![] };
-        let mut eng = Engine::new();
-        let h = eng
-            .scheduler()
-            .schedule_cancellable_at(SimTime::from_millis(1), Ev::Tag(1));
-        eng.run_until(&mut w, SimTime::from_millis(5)); // fires; slot freed
-                                                        // A new timer re-uses the slot; the old handle must not kill it.
-        let _h2 = eng
-            .scheduler()
-            .schedule_cancellable_at(SimTime::from_millis(10), Ev::Tag(2));
-        assert!(eng.scheduler().cancel(h).is_none());
-        eng.run_to_completion(&mut w);
-        let tags: Vec<u32> = w.log.iter().map(|&(_, n)| n).collect();
-        assert_eq!(tags, vec![1, 2]);
-    }
-
-    #[test]
-    fn cancellable_same_instant_keeps_fifo_order() {
-        // A cancellable event scheduled at `now` rides the current heap, not
-        // the lane — its seq must still interleave FIFO with lane entries.
-        struct W2 {
-            log: Vec<u32>,
-        }
-        impl World for W2 {
-            type Event = u32;
-            fn handle(&mut self, event: u32, sched: &mut Scheduler<u32>) {
-                self.log.push(event);
-                if event == 1 {
-                    let _ = sched.schedule_cancellable_at(sched.now(), 2); // seq before 3
-                    sched.schedule_now(3);
-                }
-            }
-        }
-        let mut w = W2 { log: vec![] };
-        let mut eng = Engine::new();
-        eng.scheduler().schedule_at(SimTime::from_millis(1), 1u32);
-        eng.run_to_completion(&mut w);
-        assert_eq!(w.log, vec![1, 2, 3]);
     }
 
     #[test]

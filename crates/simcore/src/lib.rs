@@ -36,7 +36,7 @@ pub mod units;
 pub mod watchdog;
 
 pub use checks::{Checks, Violation};
-pub use engine::{Engine, SchedStats, Scheduler, TimerHandle, World};
+pub use engine::{Engine, SchedStats, Scheduler, World};
 pub use rng::{derive_seed, SimRng};
 pub use telemetry::{Recorder, TelemetryConfig, TelemetryEvent};
 pub use time::{SimDuration, SimTime};

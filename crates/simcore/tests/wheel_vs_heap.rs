@@ -6,21 +6,20 @@
 //! four containers whose hand-offs (cascades, overflow folds, lane/bucket
 //! ordering at equal times) are exactly where ordering bugs hide. The
 //! reference model has none of those moving parts: one heap ordered by
-//! `(time, seq)`, lazy cancellation. Any workload must produce the same
-//! pop sequence and the same cancel results on both.
+//! `(time, seq)`. Any workload must produce the same pop sequence and the
+//! same pending count after every step on both.
 //!
 //! Workloads are random op streams mixing:
-//! * plain and cancellable schedules at delays spanning every wheel level
-//!   plus the overflow horizon (beyond 2^52 ns),
+//! * schedules at delays spanning every wheel level plus the overflow
+//!   horizon (beyond 2^52 ns),
 //! * same-instant bursts (`schedule_now` and zero delays),
 //! * past timestamps (which clamp to `now`),
-//! * cancels of live, already-fired, and already-cancelled handles,
 //! * interleaved pops that advance `now` mid-stream.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
-use gsrepro_simcore::{Engine, Scheduler, SimDuration, SimTime, TimerHandle, World};
+use gsrepro_simcore::{Engine, Scheduler, SimDuration, SimTime, World};
 use proptest::prelude::*;
 
 /// World that records each delivery as `(time ns, tag)`.
@@ -35,14 +34,12 @@ impl World for Log {
     }
 }
 
-/// The pre-wheel scheduler, reduced to its essence: one `BinaryHeap`
-/// ordered by `(time, seq)`, cancellation by forgetting the seq.
+/// The pre-wheel scheduler, reduced to its essence: one `BinaryHeap` of
+/// pending `(time, seq, tag)`, ordered by `(time, seq)`.
 struct RefModel {
     now: u64,
     seq: u64,
-    heap: BinaryHeap<Reverse<(u64, u64)>>,
-    /// Live events by seq; absence means fired or cancelled.
-    pending: HashMap<u64, u32>,
+    pending: BinaryHeap<Reverse<(u64, u64, u32)>>,
     fired: Vec<(u64, u32)>,
 }
 
@@ -51,52 +48,37 @@ impl RefModel {
         RefModel {
             now: 0,
             seq: 0,
-            heap: BinaryHeap::new(),
-            pending: HashMap::new(),
+            pending: BinaryHeap::new(),
             fired: Vec::new(),
         }
     }
 
-    /// Mirrors `schedule_at`'s past clamp; returns the seq as a handle.
-    fn schedule(&mut self, at: u64, tag: u32) -> u64 {
+    /// Mirrors `schedule_at`'s past clamp.
+    fn schedule(&mut self, at: u64, tag: u32) {
         let at = at.max(self.now);
-        let seq = self.seq;
+        self.pending.push(Reverse((at, self.seq, tag)));
         self.seq += 1;
-        self.heap.push(Reverse((at, seq)));
-        self.pending.insert(seq, tag);
-        seq
-    }
-
-    fn cancel(&mut self, seq: u64) -> Option<u32> {
-        self.pending.remove(&seq)
     }
 
     fn pop(&mut self) -> bool {
-        while let Some(Reverse((t, seq))) = self.heap.pop() {
-            if let Some(tag) = self.pending.remove(&seq) {
-                self.now = t;
-                self.fired.push((t, tag));
-                return true;
-            }
-        }
-        false
+        let Some(Reverse((t, _, tag))) = self.pending.pop() else {
+            return false;
+        };
+        self.now = t;
+        self.fired.push((t, tag));
+        true
     }
 }
 
 /// One step of the random workload.
 #[derive(Clone, Debug)]
 enum Op {
-    /// Schedule at `now + dt` (plain).
+    /// Schedule at `now + dt`.
     At { dt: u64 },
-    /// Schedule at `now + dt`, keep the handle for later cancels.
-    Cancellable { dt: u64 },
     /// Schedule at `now - dt` (clamps to `now`).
     Past { dt: u64 },
     /// Same-instant fast lane.
     Now,
-    /// Cancel the `idx % handles.len()`-th handle ever issued (may target
-    /// a fired or already-cancelled timer — both must agree it's dead).
-    Cancel { idx: usize },
     /// Fire the next pending event, advancing `now`.
     Pop,
 }
@@ -115,35 +97,29 @@ fn decode_delay(raw: u64) -> u64 {
     }
 }
 
-/// Decode one `(selector, raw, idx)` tuple into an op. The selector mix is
-/// weighted so streams stay busy: schedules outnumber pops slightly, so a
-/// backlog builds and the final drain crosses container boundaries.
-fn decode_op(sel: u8, raw: u64, idx: u8) -> Op {
+/// Decode one `(selector, raw)` pair into an op. The selector mix is
+/// weighted so streams stay busy: schedules outnumber pops, so a backlog
+/// builds and the final drain crosses container boundaries.
+fn decode_op(sel: u8, raw: u64) -> Op {
     match sel {
-        0..=4 => Op::At {
+        0..=10 => Op::At {
             dt: decode_delay(raw),
         },
-        5..=8 => Op::Cancellable {
+        11 => Op::Past {
             dt: decode_delay(raw),
         },
-        9 => Op::Past {
-            dt: decode_delay(raw),
-        },
-        10..=11 => Op::Now,
-        12..=13 => Op::Cancel { idx: idx as usize },
+        12..=13 => Op::Now,
         _ => Op::Pop,
     }
 }
 
 /// Run one op stream through both schedulers and compare everything
-/// observable: cancel results step by step, pop liveness, then the full
-/// drain order.
+/// observable: the pending count and pop liveness step by step, then the
+/// full drain order.
 fn run_differential(ops: &[Op]) {
     let mut eng: Engine<Log> = Engine::new();
     let mut log = Log { fired: Vec::new() };
     let mut model = RefModel::new();
-    let mut handles: Vec<TimerHandle> = Vec::new();
-    let mut model_handles: Vec<u64> = Vec::new();
     let mut tag: u32 = 0;
 
     for op in ops {
@@ -152,14 +128,6 @@ fn run_differential(ops: &[Op]) {
                 let at = eng.scheduler().now() + SimDuration::from_nanos(dt);
                 eng.scheduler().schedule_at(at, tag);
                 model.schedule(model.now.saturating_add(dt), tag);
-                tag += 1;
-            }
-            Op::Cancellable { dt } => {
-                let at = eng.scheduler().now() + SimDuration::from_nanos(dt);
-                let h = eng.scheduler().schedule_cancellable_at(at, tag);
-                handles.push(h);
-                let m = model.schedule(model.now.saturating_add(dt), tag);
-                model_handles.push(m);
                 tag += 1;
             }
             Op::Past { dt } => {
@@ -174,21 +142,17 @@ fn run_differential(ops: &[Op]) {
                 model.schedule(model.now, tag);
                 tag += 1;
             }
-            Op::Cancel { idx } => {
-                if handles.is_empty() {
-                    continue;
-                }
-                let i = idx % handles.len();
-                let got = eng.scheduler().cancel(handles[i]);
-                let want = model.cancel(model_handles[i]);
-                assert_eq!(got, want, "cancel of handle {i} diverged");
-            }
             Op::Pop => {
                 let fired = eng.step(&mut log);
                 let want = model.pop();
                 assert_eq!(fired, want, "pop liveness diverged");
             }
         }
+        assert_eq!(
+            eng.scheduler().pending(),
+            model.pending.len(),
+            "pending count diverged after {op:?}"
+        );
     }
 
     // Drain both completely; the full (time, tag) sequence must match.
@@ -202,11 +166,11 @@ proptest! {
 
     #[test]
     fn wheel_matches_heap_reference(
-        raw_ops in prop::collection::vec((0u8..16, any::<u64>(), 0u8..64), 1..400),
+        raw_ops in prop::collection::vec((0u8..16, any::<u64>()), 1..400),
     ) {
         let ops: Vec<Op> = raw_ops
             .iter()
-            .map(|&(sel, raw, idx)| decode_op(sel, raw, idx))
+            .map(|&(sel, raw)| decode_op(sel, raw))
             .collect();
         run_differential(&ops);
     }

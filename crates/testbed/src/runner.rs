@@ -64,8 +64,8 @@ pub struct RunResult {
     /// Events scheduled in the past and clamped to "now" by the engine.
     pub past_clamps: u64,
     /// Scheduler occupancy counters (deterministic per seed): where events
-    /// landed (lane/cur/wheel/overflow), cascade volume, cancels, and the
-    /// event-slab high-watermark.
+    /// landed (lane/cur/wheel/overflow), cascade volume, and the event-slab
+    /// high-watermark.
     pub sched: SchedStats,
     /// Invariant-oracle evaluations performed (0 when checks are off). A
     /// run that returns at all had zero violations — a violated oracle
@@ -263,18 +263,13 @@ impl TraceSpec {
 
 /// Run a single iteration of a condition to completion.
 pub fn run_condition(cond: &Condition, iter: u32) -> RunResult {
-    run_condition_traced(cond, iter, None)
+    run_condition_full(cond, iter, None, false)
 }
 
-/// [`run_condition`] with optional flight-recorder tracing. The recorder
-/// only observes — results are bit-identical to an untraced run — and the
-/// per-flow rings are flushed to `<trace.dir>/<label>-i<iter>.{csv,jsonl}`
-/// before returning.
-pub fn run_condition_traced(cond: &Condition, iter: u32, trace: Option<&TraceSpec>) -> RunResult {
-    run_condition_full(cond, iter, trace, false)
-}
-
-/// [`run_condition_traced`], optionally with runtime invariant oracles.
+/// [`run_condition`] with optional flight-recorder tracing and optional
+/// runtime invariant oracles. The recorder only observes — results are
+/// bit-identical to an untraced run — and the per-flow rings are flushed
+/// to `<trace.dir>/<label>-i<iter>.{csv,jsonl}` before returning.
 /// With `checks` on, the network audits packet/token conservation, queue
 /// bounds and telemetry agreement throughout the run, and the runner adds
 /// a testbed-level oracle on top: every encoder rate the streaming server
@@ -606,22 +601,12 @@ pub fn grid_perf(results: &[ConditionResult], grid_wall_secs: f64) -> GridPerf {
 /// time) is logged to stderr; use [`grid_perf`] to recompute it from the
 /// returned results.
 pub fn run_many(conditions: &[Condition], iterations: u32, threads: usize) -> Vec<ConditionResult> {
-    run_many_traced(conditions, iterations, threads, None)
+    run_many_full(conditions, iterations, threads, None, false)
 }
 
-/// [`run_many`] with optional flight-recorder tracing: every run exports
-/// its per-flow trace into `trace.dir` (created if missing).
-pub fn run_many_traced(
-    conditions: &[Condition],
-    iterations: u32,
-    threads: usize,
-    trace: Option<&TraceSpec>,
-) -> Vec<ConditionResult> {
-    run_many_full(conditions, iterations, threads, trace, false)
-}
-
-/// [`run_many_traced`], optionally with runtime invariant oracles enabled
-/// in every run (see [`run_condition_full`]).
+/// [`run_many`] with optional flight-recorder tracing — every run exports
+/// its per-flow trace into `trace.dir` (created if missing) — and optional
+/// runtime invariant oracles in every run (see [`run_condition_full`]).
 ///
 /// A run that panics (an oracle violation, an internal bug) no longer
 /// takes the whole grid down opaquely: every job runs under
@@ -926,7 +911,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("gsrepro-trace-test-{}", std::process::id()));
         let spec = TraceSpec::new(&dir);
         let traced = {
-            let out = run_many_traced(std::slice::from_ref(&cond), 1, 1, Some(&spec));
+            let out = run_many_full(std::slice::from_ref(&cond), 1, 1, Some(&spec), false);
             out.into_iter().next().unwrap().runs.remove(0)
         };
 
@@ -970,7 +955,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("gsrepro-ecn-trace-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let spec = TraceSpec::new(&dir);
-        let traced = run_condition_traced(&cond, 0, Some(&spec));
+        let traced = run_condition_full(&cond, 0, Some(&spec), false);
 
         // The recorder observes marks; it must not change them (or any
         // other deterministic output of the run).
@@ -1030,7 +1015,7 @@ mod tests {
             std::env::temp_dir().join(format!("gsrepro-scenario-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let spec = TraceSpec::new(&dir);
-        let traced = run_condition_traced(&cond, 0, Some(&spec));
+        let traced = run_condition_full(&cond, 0, Some(&spec), false);
         assert_eq!(plain.game_bins_mbps, traced.game_bins_mbps);
         assert_eq!(plain.rtt, traced.rtt);
         assert_eq!(plain.events_processed, traced.events_processed);

@@ -12,7 +12,7 @@ use gsrepro_gamestream::server::StreamServer;
 use gsrepro_gamestream::SystemKind;
 use gsrepro_netsim::net::{AgentId, NetworkBuilder};
 use gsrepro_netsim::queue::QueueSpec;
-use gsrepro_netsim::{LinkSpec, Shaper};
+use gsrepro_netsim::{LinkSpec, ScenarioAction, Shaper};
 use gsrepro_simcore::rng::stream_id;
 use gsrepro_simcore::{BitRate, SimDuration, SimTime};
 
@@ -84,9 +84,9 @@ fn main() {
 
     let mut sim = b.build();
     for &(at, cap) in stair {
-        sim.schedule_link_rate(
+        sim.schedule_scenario_action(
             bottleneck,
-            Some(BitRate::from_mbps(cap)),
+            ScenarioAction::Rate(Some(BitRate::from_mbps(cap))),
             SimTime::from_secs(at),
         );
     }
