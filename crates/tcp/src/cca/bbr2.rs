@@ -30,6 +30,7 @@
 
 use gsrepro_simcore::{BitRate, SimDuration, SimTime};
 
+use super::bw_filter::MaxBwFilter;
 use super::{AckInfo, CongestionControl, INITIAL_WINDOW_SEGMENTS};
 
 /// STARTUP gain: 2/ln2, as in v1.
@@ -88,8 +89,8 @@ pub struct Bbr2 {
     mss: u64,
     mode: Mode,
 
-    /// Max-filter samples: (round, rate).
-    bw_samples: Vec<(u64, BitRate)>,
+    /// Windowed max of delivery-rate samples over [`BW_WINDOW_ROUNDS`].
+    bw_filter: MaxBwFilter,
     btl_bw: BitRate,
 
     /// Windowed-min rt_prop filter (monotonic deque), as in v1.
@@ -143,7 +144,7 @@ impl Bbr2 {
         Bbr2 {
             mss,
             mode: Mode::Startup,
-            bw_samples: Vec::new(),
+            bw_filter: MaxBwFilter::new(BW_WINDOW_ROUNDS),
             btl_bw: BitRate::ZERO,
             rt_samples: std::collections::VecDeque::new(),
             rt_prop: SimDuration::MAX,
@@ -251,19 +252,11 @@ impl Bbr2 {
     }
 
     fn update_btl_bw(&mut self, ack: &AckInfo) {
-        if let Some(rate) = ack.delivery_rate {
-            if !ack.app_limited || rate > self.btl_bw {
-                self.bw_samples.push((ack.round, rate));
-            }
-        }
-        let min_round = ack.round.saturating_sub(BW_WINDOW_ROUNDS);
-        self.bw_samples.retain(|&(r, _)| r >= min_round);
-        self.btl_bw = self
-            .bw_samples
-            .iter()
-            .map(|&(_, r)| r)
-            .max()
-            .unwrap_or(BitRate::ZERO);
+        // App-limited samples can only raise the estimate.
+        let sample = ack
+            .delivery_rate
+            .filter(|&rate| !ack.app_limited || rate > self.btl_bw);
+        self.btl_bw = self.bw_filter.update(ack.round, sample);
     }
 
     fn check_full_pipe(&mut self, ack: &AckInfo) {

@@ -9,6 +9,7 @@
 
 pub mod bbr;
 pub mod bbr2;
+mod bw_filter;
 pub mod cubic;
 pub mod reno;
 pub mod vegas;

@@ -10,7 +10,7 @@
 //! Segment sizes on the wire are payload + [`TCP_HEADER`]; pure acks carry
 //! [`ACK_SIZE`] bytes (header + timestamp/SACK options).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use gsrepro_netsim::net::{Agent, AgentId, Ctx, NodeId, PacketSpec};
 use gsrepro_netsim::wire::{Ecn, FlowId, Packet, Payload, TcpSegment, TCP_HEADER, TCP_MSS};
@@ -85,6 +85,12 @@ impl TcpSenderConfig {
 // will never need to retransmit them), which keeps the tracked set bounded
 // by the in-flight window even when a loss hole stalls the cumulative ack
 // for a long time.
+//
+// `TcpSender::segs` is an unsorted `Vec` whose `swap_remove` order is
+// load-bearing and must not be replaced by a sorted structure: it decides
+// which lost segment is retransmitted first (the first `lost` one in Vec
+// order) and which segment wins the newest-acked tie-break among equal
+// `delivered_at_send` values, so reordering it changes every digest.
 struct SentSeg {
     seq: u64,
     len: u64,
@@ -93,6 +99,54 @@ struct SentSeg {
     delivered_time_at_send: SimTime,
     lost: bool,
     retx: u32,
+}
+
+/// Multiset of the tracked segments' `sent_at` instants, for the RTO
+/// anchor: `(instant, count)` in increasing instant order. Sends happen at
+/// the non-decreasing `now`, so an add appends at the back (or bumps it); a
+/// removal binary-searches its instant and decrements it. Zero counts are
+/// popped off the front, which is then the oldest outstanding transmission.
+#[derive(Default)]
+struct SendTimes(VecDeque<(SimTime, u32)>);
+
+impl SendTimes {
+    fn add(&mut self, t: SimTime) {
+        match self.0.back_mut() {
+            Some((last, n)) if *last == t => *n += 1,
+            _ => {
+                debug_assert!(self.0.back().is_none_or(|&(last, _)| last < t));
+                self.0.push_back((t, 1));
+            }
+        }
+    }
+
+    fn remove(&mut self, t: SimTime) {
+        let i = self.0.partition_point(|&(u, _)| u < t);
+        debug_assert_eq!(self.0[i].0, t, "removed instant is not tracked");
+        self.0[i].1 -= 1;
+        while self.0.front().is_some_and(|&(_, n)| n == 0) {
+            self.0.pop_front();
+        }
+    }
+
+    fn oldest(&self) -> Option<SimTime> {
+        self.0.front().map(|&(t, _)| t)
+    }
+}
+
+/// What the segments newly acked or SACKed by one ack add up to.
+#[derive(Default)]
+struct Delivery {
+    bytes: u64,
+    /// Rate-sample bookkeeping from the newest acked segment:
+    /// (delivered_at_send, delivered_time_at_send, was_retransmitted).
+    /// Samples off retransmitted segments are discarded (Karn's rule
+    /// applied to rate sampling): when a long-standing hole fills, one
+    /// cumulative ack can cover megabytes, and dividing that by the
+    /// retransmission's short flight time would produce a wildly inflated
+    /// bandwidth sample that sends BBR's cwnd to the moon.
+    newest: Option<(u64, SimTime, bool)>,
+    round_start: bool,
 }
 
 /// Bulk-data TCP sender agent.
@@ -108,7 +162,12 @@ pub struct TcpSender {
     next_seq: u64,
     snd_una: u64,
     segs: Vec<SentSeg>,
+    // Running totals over `segs`, so no per-ack path rescans it (debug
+    // builds audit them against a rescan, see `audit_scoreboard`).
     lost_count: usize,
+    /// Bytes of tracked segments not marked lost (RFC 6675 `pipe`).
+    pipe_bytes: u64,
+    send_times: SendTimes,
 
     delivered: u64,
     next_round_delivered: u64,
@@ -172,6 +231,8 @@ impl TcpSender {
             snd_una: 0,
             segs: Vec::new(),
             lost_count: 0,
+            pipe_bytes: 0,
+            send_times: SendTimes::default(),
             delivered: 0,
             next_round_delivered: 0,
             round: 0,
@@ -261,8 +322,8 @@ impl TcpSender {
         self.min_rtt
     }
 
-    /// Segments currently tracked (in flight, SACKed, or awaiting
-    /// retransmission).
+    /// Segments currently tracked: in flight or awaiting retransmission
+    /// (SACKed segments are dropped from tracking at once).
     pub fn tracked_segments(&self) -> usize {
         self.segs.len()
     }
@@ -288,10 +349,6 @@ impl TcpSender {
         };
         let backed = base * (1u64 << self.rto_backoff.min(8));
         backed.clamp(MIN_RTO, MAX_RTO)
-    }
-
-    fn pipe(&self) -> u64 {
-        self.segs.iter().filter(|s| !s.lost).map(|s| s.len).sum()
     }
 
     fn in_recovery(&self) -> bool {
@@ -341,8 +398,7 @@ impl TcpSender {
     /// about one RTO after its last (re)transmission, no matter how much
     /// later data is being SACKed around it.
     fn rearm_rto_from_oldest(&mut self, ctx: &mut Ctx) {
-        let oldest = self.segs.iter().map(|s| s.sent_at).min();
-        match oldest {
+        match self.send_times.oldest() {
             Some(t) => {
                 // Floor at the last expiry: a timeout restarts the
                 // backed-off timer from the expiry itself (see
@@ -382,7 +438,6 @@ impl TcpSender {
         let now = ctx.now();
         let cwnd = self.cca.cwnd();
         let pacing = self.cca.pacing_rate();
-        let mut pipe = self.pipe();
         let mut quantum_left = PACE_QUANTUM;
 
         loop {
@@ -405,10 +460,12 @@ impl TcpSender {
             if self.lost_count > 0 {
                 if let Some(i) = self.segs.iter().position(|s| s.lost) {
                     let len = self.segs[i].len;
-                    if pipe + len > cwnd {
+                    if self.pipe_bytes + len > cwnd {
                         break;
                     }
                     let seq = self.segs[i].seq;
+                    self.send_times.remove(self.segs[i].sent_at);
+                    self.send_times.add(now);
                     self.segs[i].lost = false;
                     self.segs[i].retx += 1;
                     self.segs[i].sent_at = now;
@@ -436,7 +493,7 @@ impl TcpSender {
                         budget.min(self.mss())
                     }
                 };
-                if pipe + len > cwnd {
+                if self.pipe_bytes + len > cwnd {
                     break;
                 }
                 if let Some(b) = self.app_budget.as_mut() {
@@ -453,12 +510,13 @@ impl TcpSender {
                     lost: false,
                     retx: 0,
                 });
+                self.send_times.add(now);
                 self.send_segment(ctx, seq, len, false);
                 sent_len = Some(len);
             }
 
             let len = sent_len.expect("a segment was sent on this path");
-            pipe += len;
+            self.pipe_bytes += len;
             if let Some(rate) = pacing {
                 let gap = rate.tx_time(Bytes(len) + TCP_HEADER);
                 self.pace_next = self.pace_next.max(now) + gap;
@@ -466,23 +524,54 @@ impl TcpSender {
             }
         }
 
-        let _ = now;
         self.rearm_rto_from_oldest(ctx);
+        #[cfg(debug_assertions)]
+        self.audit_scoreboard();
+    }
+
+    /// Stop tracking every segment `delivered` selects, in `swap_remove`
+    /// order (see the `SentSeg` note), folding each into `d`.
+    fn remove_delivered(&mut self, d: &mut Delivery, delivered: impl Fn(&SentSeg) -> bool) {
+        let mut i = 0;
+        while i < self.segs.len() {
+            let s = &self.segs[i];
+            if !delivered(s) {
+                i += 1;
+                continue;
+            }
+            d.bytes += s.len;
+            if d.newest.is_none_or(|(at, _, _)| s.delivered_at_send > at) {
+                d.newest = Some((s.delivered_at_send, s.delivered_time_at_send, s.retx > 0));
+            }
+            if s.delivered_at_send >= self.next_round_delivered {
+                d.round_start = true;
+            }
+            let s = self.segs.swap_remove(i);
+            if s.lost {
+                self.lost_count -= 1;
+            } else {
+                self.pipe_bytes -= s.len;
+            }
+            self.send_times.remove(s.sent_at);
+        }
+    }
+
+    /// Reference check for the running totals: recompute each by a linear
+    /// rescan of `segs` and assert it matches.
+    #[cfg(debug_assertions)]
+    fn audit_scoreboard(&self) {
+        let pipe: u64 = self.segs.iter().filter(|s| !s.lost).map(|s| s.len).sum();
+        let lost = self.segs.iter().filter(|s| s.lost).count();
+        let oldest = self.segs.iter().map(|s| s.sent_at).min();
+        assert_eq!(self.pipe_bytes, pipe, "running pipe total");
+        assert_eq!(self.lost_count, lost, "running lost count");
+        assert_eq!(self.send_times.oldest(), oldest, "oldest send instant");
     }
 
     fn process_ack(&mut self, seg: TcpSegment, now: SimTime, ctx: &mut Ctx) {
         let old_una = self.snd_una;
-        let mut newly_delivered: u64 = 0;
         let mut rtt_sample: Option<SimDuration> = None;
-        // Rate-sample bookkeeping from the newest acked segment:
-        // (delivered_at_send, delivered_time_at_send, was_retransmitted).
-        // Samples off retransmitted segments are discarded (Karn's rule
-        // applied to rate sampling): when a long-standing hole fills, one
-        // cumulative ack can cover megabytes, and dividing that by the
-        // retransmission's short flight time would produce a wildly
-        // inflated bandwidth sample that sends BBR's cwnd to the moon.
-        let mut newest_acked: Option<(u64, SimTime, bool)> = None;
-        let mut round_start = false;
+        let mut d = Delivery::default();
 
         if let Some(ts) = seg.ts_echo {
             rtt_sample = Some(now.saturating_since(ts));
@@ -493,26 +582,7 @@ impl TcpSender {
             self.snd_una = seg.ack;
             self.dupacks = 0;
             self.rto_backoff = 0;
-            let mut i = 0;
-            while i < self.segs.len() {
-                let s = &self.segs[i];
-                if s.seq + s.len <= seg.ack {
-                    newly_delivered += s.len;
-                    if s.lost {
-                        self.lost_count -= 1;
-                    }
-                    if newest_acked.is_none_or(|(d, _, _)| s.delivered_at_send > d) {
-                        newest_acked =
-                            Some((s.delivered_at_send, s.delivered_time_at_send, s.retx > 0));
-                    }
-                    if s.delivered_at_send >= self.next_round_delivered {
-                        round_start = true;
-                    }
-                    self.segs.swap_remove(i);
-                } else {
-                    i += 1;
-                }
-            }
+            self.remove_delivered(&mut d, |s| s.seq + s.len <= seg.ack);
         }
 
         // SACK blocks: account the newly delivered segments and drop them
@@ -525,31 +595,19 @@ impl TcpSender {
             .flatten()
             .map(|&(_, end)| end)
             .fold(self.highest_sacked, u64::max);
-        let mut i = 0;
-        while i < self.segs.len() {
-            let s = &self.segs[i];
-            let covered = seg
-                .sack
-                .iter()
-                .flatten()
-                .any(|&(start, end)| s.seq >= start && s.seq + s.len <= end);
-            if covered {
-                if s.lost {
-                    self.lost_count -= 1;
-                }
-                newly_delivered += s.len;
-                if s.delivered_at_send >= self.next_round_delivered {
-                    round_start = true;
-                }
-                if newest_acked.is_none_or(|(d, _, _)| s.delivered_at_send > d) {
-                    newest_acked =
-                        Some((s.delivered_at_send, s.delivered_time_at_send, s.retx > 0));
-                }
-                self.segs.swap_remove(i);
-            } else {
-                i += 1;
-            }
+        if seg.sack.iter().any(Option::is_some) {
+            self.remove_delivered(&mut d, |s| {
+                seg.sack
+                    .iter()
+                    .flatten()
+                    .any(|&(start, end)| s.seq >= start && s.seq + s.len <= end)
+            });
         }
+        let Delivery {
+            bytes: newly_delivered,
+            newest: newest_acked,
+            round_start,
+        } = d;
 
         self.delivered += newly_delivered;
         if round_start {
@@ -568,28 +626,34 @@ impl TcpSender {
         // since that retransmission (a RACK-style reordering window) —
         // otherwise the stale SACK hole above it would re-mark it on every
         // ack and the sender would spray duplicates of the same segment.
+        //
+        // Every tracked segment ends above `snd_una` (the cumulative ack
+        // removed the rest), so below 3 dupacks nothing can be marked until
+        // the SACKed edge passes `snd_una + 2 MSS`: skip the scan until then.
         let mss = self.mss();
         let rtt_gate = self.srtt.unwrap_or(INITIAL_RTO);
         let highest_sacked = self.highest_sacked;
         let mut newly_lost = false;
-        for s in self.segs.iter_mut() {
-            if s.lost {
-                continue;
-            }
-            let sack_hole = highest_sacked >= s.seq + s.len + 2 * mss;
-            let dup_trigger = self.dupacks >= 3 && s.seq == self.snd_una;
-            let gate_open = s.retx == 0 || now.saturating_since(s.sent_at) >= rtt_gate;
-            if (sack_hole || dup_trigger) && gate_open {
-                s.lost = true;
-                self.lost_count += 1;
-                newly_lost = true;
+        if self.dupacks >= 3 || highest_sacked > self.snd_una + 2 * mss {
+            for s in self.segs.iter_mut() {
+                if s.lost {
+                    continue;
+                }
+                let sack_hole = highest_sacked >= s.seq + s.len + 2 * mss;
+                let dup_trigger = self.dupacks >= 3 && s.seq == self.snd_una;
+                let gate_open = s.retx == 0 || now.saturating_since(s.sent_at) >= rtt_gate;
+                if (sack_hole || dup_trigger) && gate_open {
+                    s.lost = true;
+                    self.lost_count += 1;
+                    self.pipe_bytes -= s.len;
+                    newly_lost = true;
+                }
             }
         }
         if newly_lost && !self.in_recovery() {
             self.recovery_point = self.next_seq;
             self.fast_retransmit_events += 1;
-            let pipe = self.pipe();
-            self.cca.on_congestion_event(now, pipe);
+            self.cca.on_congestion_event(now, self.pipe_bytes);
             ctx.telemetry()
                 .fast_retransmit(now, self.cfg.flow.0, self.cca.cwnd());
         }
@@ -602,7 +666,7 @@ impl TcpSender {
         // clean ack. Dispatched on every ECE-bearing ack; per-round gating
         // is the controller's job (see `CongestionControl::on_ecn`).
         if seg.ece {
-            self.cca.on_ecn(now, self.pipe());
+            self.cca.on_ecn(now, self.pipe_bytes);
         }
 
         if newly_delivered > 0 {
@@ -664,7 +728,7 @@ impl TcpSender {
                 min_rtt: self.min_rtt,
                 delivered: self.delivered,
                 delivery_rate,
-                in_flight: self.pipe(),
+                in_flight: self.pipe_bytes,
                 round_start,
                 round: self.round,
                 app_limited: false,
@@ -684,6 +748,8 @@ impl TcpSender {
         self.rearm_rto_from_oldest(ctx);
 
         self.try_send(ctx);
+        #[cfg(debug_assertions)]
+        self.audit_scoreboard();
     }
 
     fn on_rto_fire(&mut self, ctx: &mut Ctx) {
@@ -713,6 +779,7 @@ impl TcpSender {
                 self.lost_count += 1;
             }
         }
+        self.pipe_bytes = 0;
         self.dupacks = 0;
         self.recovery_point = self.next_seq;
         self.rto_backoff += 1;
@@ -725,6 +792,8 @@ impl TcpSender {
         let deadline = now + self.cur_rto();
         self.arm_rto(ctx, deadline);
         self.try_send(ctx);
+        #[cfg(debug_assertions)]
+        self.audit_scoreboard();
     }
 }
 
@@ -988,6 +1057,7 @@ mod tests {
     use gsrepro_netsim::net::{NetworkBuilder, Sim};
     use gsrepro_netsim::queue::QueueSpec;
     use gsrepro_netsim::Shaper;
+    use proptest::prelude::*;
 
     /// Build server --bottleneck--> client with an ack path back.
     /// Returns (sim, data flow, sender agent id).
@@ -1420,6 +1490,70 @@ mod tests {
         );
         let s: &TcpSender = sim.net.agent(sender);
         assert!(s.rto_events() >= 2, "rto events {}", s.rto_events());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        /// The running scoreboard totals (`pipe_bytes`, `lost_count`, the
+        /// send-instant multiset) against their linear rescan: debug builds
+        /// audit them after every ack, send and RTO (`audit_scoreboard`),
+        /// and these paths reach the SACK, dupack and RTO code. Each case
+        /// runs one sender over a lossy, duplicating, jittery path with a
+        /// lossy ack path and one outage.
+        #[test]
+        fn scoreboard_totals_match_rescan_under_faults(
+            cca_sel in 0u8..5,
+            seed in any::<u64>(),
+            loss_pm in 0u64..80,
+            dup_pm in 0u64..80,
+            jitter_ms in 0u64..10,
+            ack_loss_pm in 0u64..80,
+            outage_at_ms in 500u64..3_000,
+            outage_ms in 0u64..2_000,
+        ) {
+            let cca = [CcaKind::Reno, CcaKind::Cubic, CcaKind::Bbr, CcaKind::Bbr2, CcaKind::Cubic]
+                [cca_sel as usize];
+            let mut b = NetworkBuilder::new(seed);
+            let server = b.add_node("server");
+            let client = b.add_node("client");
+            let fwd = b.link(
+                server,
+                client,
+                LinkSpec::bottleneck(BitRate::from_mbps(10), Bytes(30_000), SimDuration::from_millis(5))
+                    .with_loss(loss_pm as f64 / 1000.0)
+                    .with_duplication(dup_pm as f64 / 1000.0)
+                    .with_jitter(SimDuration::from_millis(jitter_ms)),
+            );
+            b.link(
+                client,
+                server,
+                LinkSpec::lan(SimDuration::from_millis(5))
+                    .with_loss(ack_loss_pm as f64 / 1000.0)
+                    .with_jitter(SimDuration::from_millis(jitter_ms)),
+            );
+            let data = b.flow("d");
+            let acks = b.flow("a");
+            let mut sender = TcpSender::new(TcpSenderConfig::new(data, client, AgentId(1), cca));
+            if cca_sel == 4 {
+                // App-limited: the budget runs dry mid-run, so the sender
+                // idles with an empty scoreboard and is re-armed from zero.
+                sender.set_app_limited();
+                sender.queue_app_bytes(1_500_000);
+            }
+            let sender = b.add_agent(server, Box::new(sender));
+            b.add_agent(client, Box::new(TcpReceiver::new(acks, server, sender)));
+            let mut sim = b.build();
+            let outage_at = SimTime::from_millis(outage_at_ms);
+            sim.apply_scenario(&gsrepro_netsim::ScenarioSpec::new().outage(
+                outage_at,
+                outage_at + SimDuration::from_millis(outage_ms),
+                fwd,
+            ));
+            sim.run_until(SimTime::from_secs(6));
+            let s: &TcpSender = sim.net.agent(sender);
+            prop_assert!(s.delivered_bytes() > 0, "{cca:?} delivered nothing");
+        }
     }
 
     #[test]
